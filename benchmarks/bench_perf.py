@@ -1,19 +1,19 @@
 #!/usr/bin/env python
-"""Performance benchmark harness: legacy byte-per-bit vs packed/batched paths.
+"""Performance benchmark harness: legacy byte-per-bit vs packed/native paths.
 
 Times the SC hot kernels -- SNG word generation, XNOR multiplication,
 sorter average pooling, sorter feature extraction, and end-to-end bit-exact
 network inference -- at several stream lengths, for both the legacy
-``uint8``/per-instance paths and the word-packed / batched engines, and
+``uint8``/per-instance paths and the word-packed / compiled engines, and
 writes ``BENCH_perf.json`` (seconds, ops/sec, speedup, peak bytes).  Each
 run is also **appended to the ``history`` list** inside the JSON report,
 so the performance trajectory accumulates across PRs instead of being
 overwritten.
 
 End-to-end inference is timed through the execution-backend registry
-(:mod:`repro.backends`): the per-image legacy oracle vs the batched uint8
-path, and the batched path vs the word-packed data plane
-(``bit-exact-packed``), each entry recording the backend names it compared.
+(:mod:`repro.backends`): the per-image legacy oracle vs the word-packed
+data plane (``bit-exact-packed``), the packed plane vs its sharded and
+compiled variants, each entry recording the backend names it compared.
 
 Every comparison **asserts bit-exactness** between the two paths before
 reporting a speedup: the packed engine is a faster representation of the
@@ -130,7 +130,7 @@ def _entry(
     legacy_seconds, legacy_result = _time_call(legacy_fn, legacy_repeats)
     new_seconds, new_result = _time_call(new_fn, new_repeats)
     assert check_equal(legacy_result, new_result), (
-        f"{kernel} @ N={stream_length}: packed/batched output differs from "
+        f"{kernel} @ N={stream_length}: new-path output differs from "
         "the legacy path"
     )
     legacy_peak = _peak_bytes(legacy_fn)
@@ -345,48 +345,24 @@ def _bench_network_mapper(length: int) -> ScNetworkMapper:
 
 
 def bench_end_to_end(length: int, n_images: int) -> dict:
-    """Whole-network bit-exact inference: per-image legacy vs batched.
+    """Whole-network bit-exact inference: per-image legacy vs packed plane.
 
     Both paths run through the execution-backend registry.
     """
     mapper = _bench_network_mapper(length)
     images = np.random.default_rng(11).random((n_images, 1, 28, 28))
     legacy = create_backend("bit-exact-legacy", mapper)
-    batched = create_backend("bit-exact-batched", mapper)
+    packed = create_backend("bit-exact-packed", mapper)
     return _entry(
         "bit-exact-inference",
         length,
         n_images * length,
         lambda: legacy.forward(images),
-        lambda: batched.forward(images),
-        lambda a, b: np.array_equal(a, b),
-        new_repeats=1,
-        backend="bit-exact-batched",
-        baseline_backend="bit-exact-legacy",
-    )
-
-
-def bench_packed_end_to_end(length: int, n_images: int) -> dict:
-    """Whole-network bit-exact inference: batched uint8 vs packed data plane.
-
-    The baseline here is the PR 1 *batched* path (not the per-image
-    legacy), so the recorded speedup isolates what the word-packed
-    inter-layer data plane buys on top of batching.
-    """
-    mapper = _bench_network_mapper(length)
-    images = np.random.default_rng(11).random((n_images, 1, 28, 28))
-    batched = create_backend("bit-exact-batched", mapper)
-    packed = create_backend("bit-exact-packed", mapper)
-    return _entry(
-        "bit-exact-inference-packed",
-        length,
-        n_images * length,
-        lambda: batched.forward(images),
         lambda: packed.forward(images),
         lambda a, b: np.array_equal(a, b),
         new_repeats=1,
         backend="bit-exact-packed",
-        baseline_backend="bit-exact-batched",
+        baseline_backend="bit-exact-legacy",
     )
 
 
@@ -556,12 +532,12 @@ def bench_native_end_to_end(length: int, n_images: int) -> dict:
 def bench_thread_scaling(length: int, n_images: int, worker_counts) -> list:
     """Worker-count scaling sweep of the thread-sharded native backend.
 
-    The thread-mode counterpart of :func:`bench_parallel_scaling`: the
-    compiled kernels release the GIL, so shards genuinely overlap without
-    any process spawn or IPC cost.  Baseline is the single-core
-    ``bit-exact-native`` forward; comparing this sweep against the
-    process sweep at the same worker counts is the thread-vs-process
-    executor comparison in the report.
+    The thread-mode counterpart of :func:`bench_parallel_scaling` (only
+    run while the compiled tier is active, which is when
+    ``bit-exact-native-mp`` shards on threads): the compiled kernels
+    release the GIL, so shards genuinely overlap without any process
+    spawn or IPC cost.  Baseline is the single-core ``bit-exact-native``
+    forward.
     """
     mapper = _bench_network_mapper(length)
     images = np.random.default_rng(11).random((n_images, 1, 28, 28))
@@ -721,12 +697,11 @@ def run(
             entries.append(bench_native_pack_comparator(length))
     # End-to-end inference is dominated by the legacy per-image cost, so it
     # runs at a single stream length (longer in the full sweep); the
-    # packed-vs-batched comparison has no per-image path and therefore
-    # affords the long-stream regime where packing matters most.
+    # comparisons without a per-image path afford the long-stream regime
+    # where packing matters most.
     print("end-to-end:")
     if quick:
         entries.append(bench_end_to_end(256, n_images=2))
-        entries.append(bench_packed_end_to_end(1024, n_images=2))
         entries.extend(bench_parallel_scaling(1024, n_images=4, worker_counts=(2,)))
         if native.available():
             entries.append(bench_native_end_to_end(1024, n_images=2))
@@ -735,7 +710,6 @@ def run(
             )
     else:
         entries.append(bench_end_to_end(1024, n_images=4))
-        entries.append(bench_packed_end_to_end(8192, n_images=4))
         entries.extend(
             bench_parallel_scaling(8192, n_images=8, worker_counts=(1, 2, 4))
         )

@@ -49,7 +49,7 @@ def main() -> None:
         "--bit-exact-images",
         type=int,
         default=None,
-        help="images simulated bit-exactly (default: 2 legacy-sized, 16 packed/batched)",
+        help="images simulated bit-exactly (default: 2 for the legacy oracle, 16 otherwise)",
     )
     parser.add_argument(
         "--save-model",

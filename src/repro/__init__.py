@@ -17,8 +17,8 @@ Superconducting Technology" (Cai et al., ISCA 2019).  It contains:
 * ``repro.nn`` -- float reference layers, training, quantization, and the
   SC-domain inference engine for the SNN/DNN architectures of Table 8.
 * ``repro.backends`` -- pluggable execution backends (float, fast
-  statistical, and the bit-exact legacy / batched / word-packed data
-  planes) behind a string-keyed registry.
+  statistical, and the bit-exact legacy oracle / word-packed / native
+  data planes) behind a string-keyed registry.
 * ``repro.serve`` -- the serving layer: micro-batching inference service
   with progressive-precision early exit, per-request options, result
   caching and metrics.

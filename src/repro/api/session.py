@@ -205,9 +205,8 @@ class Session:
     ) -> PredictResult:
         """Class scores and predictions under per-request options.
 
-        Resolution: ``options.workers`` (with ``options.executor``)
-        selects a sharded
-        wrapper via the shared :func:`resolve_parallel_backend` policy; an
+        Resolution: ``options.workers`` selects a sharded wrapper via the
+        shared :func:`resolve_parallel_backend` policy; an
         explicit per-request ``stream_length`` / ``checkpoints`` schedule
         is read from stream prefixes (requires a progressive backend);
         ``early_exit`` applies the serving layer's stability + margin
@@ -224,7 +223,7 @@ class Session:
         """
         resolved = (options or PredictOptions()).resolve(self.stream_length)
         name, parallel_options = resolve_parallel_backend(
-            backend or self.backend_name, resolved.workers, resolved.executor
+            backend or self.backend_name, resolved.workers
         )
         executor = self.backend(name, **parallel_options)
         if resolved.explicit_schedule and not executor.progressive:
@@ -279,7 +278,6 @@ class Session:
         backend: str | None = None,
         max_images: int | None = None,
         workers: int | None = None,
-        executor: str | None = None,
         **options: object,
     ):
         """Accuracy of the model under the named execution backend.
@@ -293,9 +291,6 @@ class Session:
                 (bounds the memory of the bit-exact backends).
             workers: shard the evaluation across this many workers
                 (shared :func:`resolve_parallel_backend` policy).
-            executor: ``"process"`` / ``"thread"`` shard executor;
-                ``None`` picks by inner backend (threads for the
-                compiled native tier).
             **options: forwarded to the backend constructor.
 
         Returns:
@@ -312,7 +307,7 @@ class Session:
         images = np.asarray(images)[:max_images]
         labels = np.asarray(labels)[:max_images]
         name, parallel_options = resolve_parallel_backend(
-            backend or self.backend_name, workers, executor
+            backend or self.backend_name, workers
         )
         # Explicit caller options win over the resolved sharding defaults
         # (e.g. a caller-provided inner_backend).

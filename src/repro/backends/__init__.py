@@ -13,18 +13,17 @@ name                      bit-exact stochastic packed  progressive what it runs
 ``float``                 no        no         --      no          trained float network
 ``sc-fast``               no        yes        --      yes         fast statistical model
 ``bit-exact-legacy``        yes     yes        no      yes         per-image oracle
-``bit-exact-batched``       yes     yes        no      yes         batched uint8 path
 ``bit-exact-packed``        yes     yes        yes     yes         packed data plane
 ``bit-exact-native``        yes     yes        yes     yes         packed plane, compiled kernels
 ``bit-exact-packed-mp``     yes     yes        yes     yes         packed plane, process-sharded
-``bit-exact-native-mp``     yes     yes        yes     yes         native plane, thread-sharded
+``bit-exact-native-mp``     yes     yes        yes     yes         native plane, threads (processes on the NumPy tier)
 ========================= ========= ========== ======= =========== =====================
 
 All ``bit-exact-*`` backends produce *identical* scores; they only
 differ in speed.  ``batch_invariant`` backends guarantee per-image scores
 independent of batch composition, which is what lets
-:class:`~repro.backends.parallel.ParallelBackend` shard batches across a
-process pool bit-exactly.  ``progressive`` backends additionally implement
+:class:`~repro.backends.parallel.ParallelBackend` shard batches across
+workers bit-exactly.  ``progressive`` backends additionally implement
 :meth:`~repro.backends.base.Backend.forward_partial` (class scores at
 intermediate stream-length checkpoints), the primitive the serving layer
 (:mod:`repro.serve`) uses for micro-batched inference with
@@ -50,7 +49,6 @@ from repro.backends.registry import (
     register_backend,
 )
 from repro.backends.standard import (
-    BitExactBatchedBackend,
     BitExactLegacyBackend,
     FastStatisticalBackend,
     FloatBackend,
@@ -66,7 +64,6 @@ __all__ = [
     "FloatBackend",
     "FastStatisticalBackend",
     "BitExactLegacyBackend",
-    "BitExactBatchedBackend",
     "BitExactPackedBackend",
     "BitExactNativeBackend",
     "ParallelBackend",

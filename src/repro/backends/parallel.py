@@ -11,13 +11,16 @@ thread pools cannot for NumPy-dispatch-bound kernels), and assembles the
 scores -- bit-identical to running the inner backend on the whole batch
 in one process, asserted by the unit tests and by ``bench_perf.py``.
 
-With ``executor="thread"`` the same sharding runs on a
+When the inner replica runs the compiled kernel tier (its
+``native_active`` flag), the same sharding runs on a
 :class:`~concurrent.futures.ThreadPoolExecutor` over a pool of
 in-process inner replicas instead: no pickling, no shared-memory
-copies, no process start-up -- worthwhile when the inner backend's hot
-loops release the GIL, which is exactly what the compiled kernel tier
-of ``bit-exact-native`` does.  :class:`NativeParallelBackend`
-(``bit-exact-native-mp``) packages that pairing as a registry entry.
+copies, no process start-up.  The compiled kernels release the GIL, so
+threads overlap at parity with processes there, while on the NumPy tier
+only processes scale.  The executor therefore follows the kernel tier
+and is not a user setting (:func:`_shard_executor`).
+:class:`NativeParallelBackend` (``bit-exact-native-mp``) is the same
+wrapper with ``bit-exact-native`` as its default inner backend.
 
 Images and scores travel through :mod:`multiprocessing.shared_memory`
 buffers rather than pickled task payloads, so the per-call IPC cost is
@@ -81,36 +84,28 @@ _LOG = logging.getLogger("repro.backends.parallel")
 
 
 def resolve_parallel_backend(
-    backend: str, workers: int | None, executor: str | None = None
+    backend: str, workers: int | None
 ) -> tuple[str, dict]:
-    """Map CLI ``(--backend, --workers, --executor)`` onto a registry selection.
+    """Map CLI ``(--backend, --workers)`` onto a registry selection.
 
     The shared policy behind the examples' ``--workers`` flags: with one
     (or no) worker the chosen backend is used as-is; otherwise a sharded
     wrapper is selected with the chosen backend riding along as its
     inner backend -- unless that choice cannot shard (not
     ``batch_invariant``) or *is* a wrapper, in which case the matching
-    single-process inner is used.  The wrapper flavour follows
-    ``executor`` when given; otherwise thread sharding is picked exactly
-    when the inner backend is the compiled-kernel tier (whose hot loops
-    release the GIL), and process sharding everywhere else.
+    single-process inner is used.  The wrapper itself picks threads or
+    processes from its inner replica's kernel tier.
 
     Args:
         backend: registry name the user chose.
         workers: requested worker count (``None``/``<= 1`` means no
             sharding).
-        executor: ``"process"``, ``"thread"``, or ``None`` to choose by
-            inner backend.
 
     Returns:
         ``(backend_name, backend_options)`` ready for
         :func:`~repro.backends.registry.create_backend` (or any
         ``backend=``/``**options`` forwarding call site).
     """
-    if executor not in (None, "process", "thread"):
-        raise ConfigurationError(
-            f"executor must be 'process' or 'thread', got {executor!r}"
-        )
     if not workers or workers <= 1:
         return backend, {}
     inner = backend
@@ -120,14 +115,10 @@ def resolve_parallel_backend(
         backend_class(inner), "batch_invariant", False
     ):
         inner = "bit-exact-packed"
-    if executor is None:
-        use_threads = (
-            backend == NativeParallelBackend.name
-            or inner == "bit-exact-native"
-        )
+    if inner == "bit-exact-native":
+        name = NativeParallelBackend.name
     else:
-        use_threads = executor == "thread"
-    name = NativeParallelBackend.name if use_threads else ParallelBackend.name
+        name = ParallelBackend.name
     return name, {
         "workers": int(workers),
         "inner_backend": inner,
@@ -236,9 +227,20 @@ def _worker_pid() -> int:
     return os.getpid()
 
 
+def _shard_executor(inner: Backend) -> str:
+    """The shard executor for ``inner``'s kernel tier.
+
+    ``"thread"`` exactly when ``inner`` runs the compiled kernels, whose
+    hot loops release the GIL; ``"process"`` otherwise, because threads
+    over the NumPy tier stay serialised on the GIL.  This is the one
+    place the choice is made.
+    """
+    return "thread" if getattr(inner, "native_active", False) else "process"
+
+
 @register_backend
 class ParallelBackend(Backend):
-    """Process-sharded wrapper around a batch-invariant inner backend.
+    """Sharded wrapper around a batch-invariant inner backend.
 
     Args:
         mapper: the SC network mapper every worker replica executes.
@@ -251,13 +253,6 @@ class ParallelBackend(Backend):
             ``batch_invariant`` -- sharding a batch across replicas is
             only score-preserving when per-image scores do not depend on
             batch composition.
-        executor: ``"process"`` (default) shards across a process pool
-            with shared-memory buffers; ``"thread"`` shards across a
-            thread pool over a lazily grown pool of in-process inner
-            replicas (no pickling, no IPC -- effective when the inner
-            backend's hot loops release the GIL, as the compiled kernel
-            tier does).  Thread mode has no circuit breaker: there is no
-            pool to break, and worker exceptions propagate directly.
         min_shard_images: smallest shard worth dispatching to a process
             (batches smaller than ``2 * min_shard_images`` run on the
             in-process replica, skipping IPC entirely).
@@ -277,6 +272,13 @@ class ParallelBackend(Backend):
             and the cooldown doubles with each consecutive break.
         **backend_options: forwarded to every inner-replica constructor
             (e.g. ``position_chunk``).
+
+    Shards run on a process pool with shared-memory buffers, or -- when
+    the inner replica runs the compiled kernel tier -- on a thread pool
+    over a lazily grown pool of in-process inner replicas (no pickling,
+    no IPC).  :attr:`executor_mode` reports which.  Thread mode has no
+    circuit breaker: there is no pool to break, and worker exceptions
+    propagate directly.
 
     The worker pool is created lazily on the first sharded call and
     reused across calls; :meth:`close` (also invoked by the serving
@@ -302,7 +304,6 @@ class ParallelBackend(Backend):
         mapper: ScNetworkMapper,
         workers: int | None = None,
         inner_backend: str = "bit-exact-packed",
-        executor: str = "process",
         min_shard_images: int = 1,
         start_method: str | None = None,
         artifact_path: str | None = None,
@@ -310,10 +311,6 @@ class ParallelBackend(Backend):
         **backend_options: object,
     ) -> None:
         super().__init__(mapper)
-        if executor not in ("process", "thread"):
-            raise ConfigurationError(
-                f"executor must be 'process' or 'thread', got {executor!r}"
-            )
         if breaker_cooldown_s < 0:
             raise ConfigurationError(
                 f"breaker_cooldown_s must be >= 0, got {breaker_cooldown_s}"
@@ -344,7 +341,6 @@ class ParallelBackend(Backend):
         self.progressive = bool(inner_cls.progressive)
         self.workers = int(workers)
         self.inner_backend = inner_backend
-        self.executor_mode = str(executor)
         self.min_shard_images = int(min_shard_images)
         self.start_method = start_method
         self.artifact_path = str(artifact_path) if artifact_path else None
@@ -353,6 +349,7 @@ class ParallelBackend(Backend):
         self.backend_options = dict(backend_options)
         #: In-process replica: serves small batches and the 1-worker case.
         self.inner = create_backend(inner_backend, mapper, **backend_options)
+        self._executor_mode = _shard_executor(self.inner)
         self._executor: ProcessPoolExecutor | None = None
         self._finalizer = None
         self._closed = False
@@ -383,6 +380,11 @@ class ParallelBackend(Backend):
                 "the mapped network has no Dense output layer"
             )
         self._n_classes = int(n_classes)
+
+    @property
+    def executor_mode(self) -> str:
+        """``"thread"`` or ``"process"``: the executor the kernel tier chose."""
+        return self._executor_mode
 
     # -- pool / shard plumbing -------------------------------------------------
 
@@ -768,24 +770,24 @@ class ParallelBackend(Backend):
 
 @register_backend
 class NativeParallelBackend(ParallelBackend):
-    """Thread-sharded wrapper over compiled-kernel inner replicas.
+    """Sharded wrapper over compiled-kernel inner replicas.
 
-    ``bit-exact-native-mp`` is :class:`ParallelBackend` with different
-    defaults, not different machinery: the inner backend is
-    ``bit-exact-native`` and the executor is ``"thread"``, so shards run
-    on a thread pool over per-replica workspace arenas.  Because the
-    compiled kernels release the GIL for the hot loops, the threads
-    genuinely overlap -- with none of the pickling, shared-memory
-    copies, or process start-up of the process-pool mode.  When the
-    compiled tier is unavailable the inner replicas quietly run their
-    NumPy kernels (still bit-identical, just without the overlap), so
-    the backend constructs and answers correctly on every host.
+    ``bit-exact-native-mp`` is :class:`ParallelBackend` with a different
+    default, not different machinery: the inner backend is
+    ``bit-exact-native``.  While the compiled tier is active the shards
+    run on a thread pool over per-replica workspace arenas -- the
+    kernels release the GIL for the hot loops, so the threads genuinely
+    overlap, with none of the pickling, shared-memory copies, or process
+    start-up of the process pool.  When the compiled tier is unavailable
+    the inner replicas run their NumPy kernels (still bit-identical) and
+    the shards move to the process pool, where they still scale, so the
+    backend constructs and answers correctly on every host.
     """
 
     name = "bit-exact-native-mp"
     description = (
         "compiled GIL-free kernels sharded across a thread pool "
-        "(per-replica workspace arenas, no IPC)"
+        "(process pool when the compiled tier is unavailable)"
     )
 
     def __init__(
@@ -793,15 +795,10 @@ class NativeParallelBackend(ParallelBackend):
         mapper: ScNetworkMapper,
         workers: int | None = None,
         inner_backend: str = "bit-exact-native",
-        executor: str = "thread",
         **options: object,
     ) -> None:
         super().__init__(
-            mapper,
-            workers=workers,
-            inner_backend=inner_backend,
-            executor=executor,
-            **options,
+            mapper, workers=workers, inner_backend=inner_backend, **options
         )
 
     @classmethod

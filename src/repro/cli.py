@@ -111,19 +111,10 @@ def add_backend_arguments(
             help="shard batches across this many workers (selects a sharded "
             "'-mp' wrapper backend; scores stay bit-identical)",
         )
-        parser.add_argument(
-            "--executor",
-            choices=("process", "thread"),
-            default=None,
-            help="how --workers shards run: 'process' (process pool + "
-            "shared memory) or 'thread' (thread pool; effective when the "
-            "compiled native kernels release the GIL).  Default: threads "
-            "for the native tier, processes otherwise",
-        )
 
 
 def backend_selection(args: argparse.Namespace) -> tuple[str, dict]:
-    """Resolve parsed ``--backend`` / ``--workers`` / ``--executor`` flags.
+    """Resolve parsed ``--backend`` / ``--workers`` flags.
 
     Returns:
         ``(backend_name, backend_options)`` ready for
@@ -133,11 +124,7 @@ def backend_selection(args: argparse.Namespace) -> tuple[str, dict]:
     """
     from repro.backends import resolve_parallel_backend
 
-    return resolve_parallel_backend(
-        args.backend,
-        getattr(args, "workers", None),
-        getattr(args, "executor", None),
-    )
+    return resolve_parallel_backend(args.backend, getattr(args, "workers", None))
 
 
 def backend_epilog() -> str:

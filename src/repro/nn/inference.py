@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import default_config
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShapeError
 from repro.nn.layers import Network
 from repro.nn.sc_layers import LayerInventory, ScNetworkMapper
 
@@ -172,13 +172,13 @@ class ScInferenceEngine:
         labels: np.ndarray,
         max_images: int = 32,
         position_chunk: int | None = None,
-        backend: str = "bit-exact-batched",
+        backend: str = "bit-exact-packed",
     ) -> InferenceResult:
         """Accuracy of a bit-exact block simulation on a batch of images.
 
         All ``bit-exact-*`` backends produce identical scores; ``backend``
-        selects the implementation speed (``"bit-exact-packed"`` is the
-        fastest).  Reports the historical ``"sc-bit-exact"`` mode label.
+        selects the implementation speed.  Reports the historical
+        ``"sc-bit-exact"`` mode label.
         """
         result = self.evaluate(
             images,
@@ -193,7 +193,10 @@ class ScInferenceEngine:
 
     def classify_bit_exact(self, image: np.ndarray) -> tuple[int, np.ndarray]:
         """Bit-exact class prediction and scores for a single image."""
-        scores = self.mapper.bit_exact_forward(np.asarray(image, dtype=np.float64))
+        image = np.asarray(image, dtype=np.float64)
+        if image.ndim != 3:
+            raise ShapeError(f"expected (channels, height, width), got {image.shape}")
+        scores = self.backend("bit-exact-packed").forward(image[None])[0]
         return int(np.argmax(scores)), scores
 
     def layer_inventories(

@@ -94,7 +94,6 @@ _OPTION_KEYS = (
     "early_exit",
     "deadline_ms",
     "workers",
-    "executor",
 )
 
 
@@ -821,7 +820,6 @@ class ScHttpServer:
                     early_exit=False,
                     deadline_ms=remaining_ms,
                     workers=opts.workers,
-                    executor=opts.executor,
                 )
                 try:
                     future = await loop.run_in_executor(

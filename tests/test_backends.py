@@ -5,14 +5,16 @@ Covers the three contracts of :mod:`repro.backends`:
 * **registry round-trip** -- every registered name constructs a backend
   that runs, and unknown names fail with an actionable
   :class:`~repro.errors.ConfigurationError`;
-* **cross-backend equivalence** -- the three ``bit-exact-*`` backends
-  produce *identical* scores (the packed data plane is a faster
+* **cross-backend equivalence** -- the ``bit-exact-*`` backends produce
+  *identical* scores to the legacy oracle (the packed data plane is a faster
   representation of the same hardware, not an approximation), and the
   fast statistical backend matches the historical fast path exactly;
 * **word-blocked stepper** -- both execution strategies of
   :func:`repro.blocks.batched.feature_extraction_recurrence_words` are
   bit-identical to the scalar sorted-vector block model.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -67,7 +69,6 @@ class TestRegistry:
             "float",
             "sc-fast",
             "bit-exact-legacy",
-            "bit-exact-batched",
             "bit-exact-packed",
         ):
             assert expected in names
@@ -110,30 +111,53 @@ class TestRegistry:
         assert backend_class("float").stochastic is False
         assert backend_class("bit-exact-packed").bit_exact is True
         assert backend_class("bit-exact-packed").packed_data_plane is True
-        assert backend_class("bit-exact-batched").packed_data_plane is False
+        assert backend_class("bit-exact-legacy").packed_data_plane is False
+
+
+#: Absolute pin of the legacy oracle: sha256 of the little-endian float64
+#: scores of ``_tiny_cnn`` (mapper seed 7) on the three images of the
+#: ``images`` fixture, plus two raw scores ([0, 0] and [-1, -1]).  The
+#: relative equivalence tests cannot catch a change (a NumPy upgrade, a
+#: compiler flag, a kernel rewrite) that moves every backend together.
+GOLDEN_SCORES = {
+    100: (
+        "2f4991ca95ee62efba69d85a20995056b00838194445eba0d44d0759a5fe6480",
+        -0.48,
+        -0.43999999999999995,
+    ),
+    128: (
+        "3ef1a48a02b914272cb46ebbd2a07f692c2479ba105e64f3964ee08e2036ed8a",
+        -0.46875,
+        -0.515625,
+    ),
+}
+
+
+@pytest.mark.parametrize("stream_length", sorted(GOLDEN_SCORES))
+def test_bit_exact_backends_match_golden_scores(stream_length, images):
+    digest, first, last = GOLDEN_SCORES[stream_length]
+    mapper = ScNetworkMapper(_tiny_cnn(), stream_length=stream_length, seed=7)
+    for name in ("bit-exact-legacy", "bit-exact-packed", "bit-exact-native"):
+        scores = create_backend(name, mapper).forward(images)
+        raw = np.ascontiguousarray(scores, dtype="<f8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest, name
+        assert (scores[0, 0], scores[-1, -1]) == (first, last), name
 
 
 class TestCrossBackendEquivalence:
     def test_bit_exact_backends_are_bit_identical(self, mapper, images):
-        """Legacy, batched and packed backends produce identical scores."""
+        """Legacy and packed backends produce identical scores."""
         legacy = create_backend("bit-exact-legacy", mapper).forward(images)
-        batched = create_backend("bit-exact-batched", mapper).forward(images)
         packed = create_backend("bit-exact-packed", mapper).forward(images)
-        assert np.array_equal(legacy, batched)
         assert np.array_equal(legacy, packed)
 
-    def test_packed_matches_batched_on_thirty_two_images(self, mapper):
-        """Packed scores are bit-identical on a full 32-image batch.
-
-        Together with the 32-image legacy-vs-batched equivalence of
-        ``test_integration.py`` this pins the packed backend to the
-        legacy oracle on >= 32 images.
-        """
+    def test_packed_matches_legacy_on_thirty_two_images(self, mapper):
+        """Packed scores equal the legacy oracle on a full 32-image batch."""
         batch = np.random.default_rng(29).random((32, 1, 28, 28))
-        batched = create_backend("bit-exact-batched", mapper).forward(batch)
+        legacy = create_backend("bit-exact-legacy", mapper).forward(batch)
         packed = create_backend("bit-exact-packed", mapper).forward(batch)
-        assert batched.shape == (32, 10)
-        assert np.array_equal(batched, packed)
+        assert legacy.shape == (32, 10)
+        assert np.array_equal(legacy, packed)
 
     def test_packed_matches_legacy_on_odd_stream_length(self, images):
         """Tail-word masking: equivalence holds when N % 64 != 0."""
@@ -331,15 +355,15 @@ class TestDeepNetworkEquivalence:
     layers diverge while every small-net test stayed green.
     """
 
-    def test_snn_packed_equals_batched(self):
+    def test_snn_packed_equals_legacy(self):
         from repro.nn import build_snn
 
         network = build_snn(seed=1, training_stream_length=64)
         snn_mapper = ScNetworkMapper(network, stream_length=100, seed=3)
         image = np.random.default_rng(0).random((1, 1, 28, 28))
         packed = create_backend("bit-exact-packed", snn_mapper).forward(image)
-        batched = create_backend("bit-exact-batched", snn_mapper).forward(image)
-        assert np.array_equal(packed, batched)
+        legacy = create_backend("bit-exact-legacy", snn_mapper).forward(image)
+        assert np.array_equal(packed, legacy)
 
 
 class TestResolveParallelBackend:
@@ -357,9 +381,9 @@ class TestResolveParallelBackend:
     def test_shardable_backend_rides_along_as_inner(self):
         from repro.backends import resolve_parallel_backend
 
-        name, options = resolve_parallel_backend("bit-exact-batched", 4)
+        name, options = resolve_parallel_backend("bit-exact-legacy", 4)
         assert name == "bit-exact-packed-mp"
-        assert options == {"workers": 4, "inner_backend": "bit-exact-batched"}
+        assert options == {"workers": 4, "inner_backend": "bit-exact-legacy"}
 
     def test_non_invariant_and_wrapper_fall_back_to_packed(self):
         from repro.backends import resolve_parallel_backend

@@ -343,14 +343,17 @@ class TestTypedRejections:
         assert payload["error"]["reason"] == "bad_images"
 
     def test_unknown_option_400(self, server):
-        status, payload = _request(
-            server.port,
-            "POST",
-            "/v1/models/m1/predict",
-            {"images": [[0.5]], "options": {"temperature": 2}},
-        )
-        assert status == 400
-        assert payload["error"]["reason"] == "bad_options"
+        # "executor" is no option: the shard executor follows the kernel
+        # tier, so the key is rejected like any other unknown one.
+        for options in ({"temperature": 2}, {"executor": "thread"}):
+            status, payload = _request(
+                server.port,
+                "POST",
+                "/v1/models/m1/predict",
+                {"images": [[0.5]], "options": options},
+            )
+            assert status == 400
+            assert payload["error"]["reason"] == "bad_options"
 
     def test_unknown_model_404(self, server, images):
         status, payload = _request(

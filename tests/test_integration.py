@@ -184,7 +184,7 @@ class TestEndToEndTraining:
 
 
 class TestBatchedBitExact:
-    """Whole-network batched bit-exact inference (word-packed engine PR)."""
+    """Whole-network bit-exact inference on a batch (word-packed engine)."""
 
     @staticmethod
     def _tiny_cnn(stream_length=128):
@@ -202,23 +202,25 @@ class TestBatchedBitExact:
         )
 
     def test_batched_path_matches_legacy_per_image(self, tiny_dataset):
-        """Batched scores must be bit-identical to the legacy per-image path."""
+        """Packed batch scores must be bit-identical to the legacy per-image path."""
         engine = ScInferenceEngine(self._tiny_cnn(), stream_length=128, seed=7)
         images = tiny_dataset.test_images[:3, None]
         legacy = np.stack(
             [engine.mapper.bit_exact_forward_legacy(img) for img in images]
         )
-        batched = engine.mapper.bit_exact_forward_batch(images)
+        batched = engine.backend("bit-exact-packed").forward(images)
         assert np.array_equal(batched, legacy)
         # Position chunking is a memory knob only: it must not change bits.
-        chunked = engine.mapper.bit_exact_forward_batch(images, position_chunk=17)
+        chunked = engine.backend("bit-exact-packed", position_chunk=17).forward(
+            images
+        )
         assert np.array_equal(chunked, batched)
 
     def test_thirty_two_images_bit_exact(self, tiny_dataset):
         """Bit-exact inference over 32 synthetic-MNIST images in one call.
 
         The seed implementation restricted bit-exact validation to "a
-        handful" of images; the batched engine makes 32 routine.
+        handful" of images; the packed engine makes 32 routine.
         """
         engine = ScInferenceEngine(self._tiny_cnn(), stream_length=128, seed=7)
         images = tiny_dataset.test_images[:32, None]
@@ -227,8 +229,8 @@ class TestBatchedBitExact:
         assert result.n_images == 32
         assert result.mode == "sc-bit-exact"
         # The reported accuracy must be exactly the argmax accuracy of the
-        # batched engine's scores (same seed => same streams => same bits).
-        scores = engine.mapper.bit_exact_forward_batch(images)
+        # packed engine's scores (same seed => same streams => same bits).
+        scores = engine.backend("bit-exact-packed").forward(images)
         assert scores.shape == (32, 10)
         expected = float((np.argmax(scores, axis=1) == labels).mean())
         assert result.accuracy == expected

@@ -4,8 +4,8 @@ The contract under test is the one the backend registry advertises:
 ``bit-exact-native`` is a pure drop-in for ``bit-exact-packed`` --
 bit-identical scores whether or not the compiled tier is available, with
 graceful degradation (never an error) when it is not -- and
-``bit-exact-native-mp`` shards batches across threads without changing a
-single score.
+``bit-exact-native-mp`` shards batches without changing a single score,
+on threads exactly when the compiled tier is active.
 """
 
 import os
@@ -18,12 +18,11 @@ import pytest
 
 from repro.backends import (
     BitExactNativeBackend,
-    NativeParallelBackend,
-    ParallelBackend,
     create_backend,
     describe_backends,
     resolve_parallel_backend,
 )
+from repro.backends import parallel
 from repro.blocks.batched import feature_extraction_recurrence_words
 from repro.nn.architectures import LayerSpec, build_network
 from repro.nn.sc_layers import ScNetworkMapper
@@ -228,6 +227,7 @@ def test_env_var_disables_tier_without_breaking_backend(network):
         "ref = create_backend('bit-exact-packed', mapper).forward(images)\n"
         "np.testing.assert_array_equal(nat.forward(images), ref)\n"
         "mp = create_backend('bit-exact-native-mp', mapper, workers=2)\n"
+        "assert mp.executor_mode == 'process'\n"
         "np.testing.assert_array_equal(mp.forward(images), ref)\n"
         "mp.close()\n"
     )
@@ -251,6 +251,14 @@ def thread_mapper(network):
     return ScNetworkMapper(network, stream_length=200, seed=7)
 
 
+@pytest.fixture
+def thread_sharding(monkeypatch):
+    """Force the thread executor, so thread mode is also covered when the
+    compiled tier is unavailable (the NumPy kernels are bit-identical)."""
+    monkeypatch.setattr(parallel, "_shard_executor", lambda inner: "thread")
+
+
+@pytest.mark.usefixtures("thread_sharding")
 def test_thread_mode_forward_bit_identical(thread_mapper, images):
     reference = create_backend("bit-exact-packed", thread_mapper).forward(images)
     with create_backend(
@@ -260,6 +268,7 @@ def test_thread_mode_forward_bit_identical(thread_mapper, images):
         np.testing.assert_array_equal(backend.forward(images), reference)
 
 
+@pytest.mark.usefixtures("thread_sharding")
 def test_thread_mode_forward_partial_bit_identical(thread_mapper, images):
     points = (50, 100, 200)
     reference = create_backend("bit-exact-packed", thread_mapper).forward_partial(
@@ -273,6 +282,7 @@ def test_thread_mode_forward_partial_bit_identical(thread_mapper, images):
         )
 
 
+@pytest.mark.usefixtures("thread_sharding")
 def test_thread_mode_deterministic_under_concurrent_submits(
     thread_mapper, images
 ):
@@ -290,6 +300,7 @@ def test_thread_mode_deterministic_under_concurrent_submits(
         np.testing.assert_array_equal(result, reference)
 
 
+@pytest.mark.usefixtures("thread_sharding")
 def test_thread_mode_break_pool_is_a_noop(thread_mapper):
     with create_backend(
         "bit-exact-native-mp", thread_mapper, workers=2
@@ -298,6 +309,7 @@ def test_thread_mode_break_pool_is_a_noop(thread_mapper):
         assert backend.pool_breaks == 0
 
 
+@pytest.mark.usefixtures("thread_sharding")
 def test_thread_mode_use_after_close_raises(thread_mapper, images):
     backend = create_backend("bit-exact-native-mp", thread_mapper, workers=2)
     backend.close()
@@ -307,6 +319,7 @@ def test_thread_mode_use_after_close_raises(thread_mapper, images):
         backend.forward(images)
 
 
+@pytest.mark.usefixtures("thread_sharding")
 def test_thread_mode_serves_through_inference_service(thread_mapper, images):
     """bit-exact-native-mp is a drop-in replica backend for the service."""
     from repro.config import ServiceConfig
@@ -326,18 +339,31 @@ def test_thread_mode_serves_through_inference_service(thread_mapper, images):
     np.testing.assert_array_equal(response.scores, direct)
 
 
-def test_process_mode_still_default_for_packed(thread_mapper):
-    with create_backend(
-        "bit-exact-packed-mp", thread_mapper, workers=2
-    ) as backend:
+# -- executor selection: follows the inner replica's kernel tier ---------------
+
+
+@needs_native
+def test_threads_when_native_tier_active(thread_mapper):
+    name, options = resolve_parallel_backend("bit-exact-native", 2)
+    with create_backend(name, thread_mapper, **options) as backend:
+        assert backend.inner.native_active
+        assert backend.executor_mode == "thread"
+
+
+def test_processes_when_native_tier_disabled(thread_mapper, monkeypatch):
+    # In-process stand-in for REPRO_NATIVE=0 (which the subprocess test
+    # above exercises for real): the compiled tier reports unavailable.
+    monkeypatch.setattr(native, "available", lambda: False)
+    name, options = resolve_parallel_backend("bit-exact-native", 2)
+    with create_backend(name, thread_mapper, **options) as backend:
+        assert not backend.inner.native_active
         assert backend.executor_mode == "process"
 
 
-def test_executor_validation(thread_mapper):
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        ParallelBackend(thread_mapper, workers=2, executor="fibers")
+def test_process_mode_still_default_for_packed(thread_mapper):
+    name, options = resolve_parallel_backend("bit-exact-packed", 2)
+    with create_backend(name, thread_mapper, **options) as backend:
+        assert backend.executor_mode == "process"
 
 
 # -- resolution policy ---------------------------------------------------------
@@ -361,19 +387,6 @@ def test_resolve_policy_keeps_processes_for_packed():
     )
 
 
-def test_resolve_policy_explicit_executor_wins():
-    name, options = resolve_parallel_backend(
-        "bit-exact-native", 4, executor="process"
-    )
-    assert name == "bit-exact-packed-mp"
-    assert options["inner_backend"] == "bit-exact-native"
-    name, options = resolve_parallel_backend(
-        "bit-exact-packed", 4, executor="thread"
-    )
-    assert name == "bit-exact-native-mp"
-    assert options["inner_backend"] == "bit-exact-packed"
-
-
 def test_resolve_policy_single_worker_passthrough():
     assert resolve_parallel_backend("bit-exact-native", None) == (
         "bit-exact-native",
@@ -383,13 +396,6 @@ def test_resolve_policy_single_worker_passthrough():
         "bit-exact-native",
         {},
     )
-
-
-def test_resolve_policy_rejects_bad_executor():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        resolve_parallel_backend("bit-exact-packed", 4, executor="fibers")
 
 
 # -- wide-slab regression (word-blocked per-cycle fallback) --------------------
