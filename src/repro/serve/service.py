@@ -56,7 +56,7 @@ import logging
 import queue
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,6 +94,18 @@ _LOG = logging.getLogger("repro.serve")
 
 #: Queue sentinel that shuts down the scheduler / a worker.
 _SHUTDOWN = object()
+
+
+def _claim(future: Future) -> bool:
+    """Mark ``future`` running; False when it was cancelled.
+
+    A running future can no longer be cancelled, so the worker that
+    claimed it is the only party left to resolve it.  Claiming an
+    already-running future is a no-op.
+    """
+    if future.running():
+        return True
+    return future.set_running_or_notify_cancel()
 
 
 @dataclass(frozen=True)
@@ -495,9 +507,9 @@ class ScInferenceService:
         On ``timeout`` the request is *cancelled* before re-raising: an
         abandoned request must not keep occupying an admission slot and
         worker time nobody will read.  Cancellation only succeeds while
-        the request is still queued (futures never enter the running
-        state here); a request a worker is already computing completes
-        normally and its result is dropped.
+        the request is still queued (a worker marks the future running
+        when it picks the request up); a request a worker is already
+        computing completes normally and its result is dropped.
         """
         future = self.submit(images, options)
         try:
@@ -513,7 +525,8 @@ class ScInferenceService:
         cancelled: its admission slot is released immediately, workers
         skip it at dispatch, and the cancellation is counted in
         :class:`~repro.serve.metrics.ServiceMetrics`.  Returns False when
-        the request already resolved (or was already cancelled).
+        a worker already picked the request up, when it already resolved,
+        or when it was already cancelled.
         """
         if not future.cancel():
             return False
@@ -646,10 +659,11 @@ class ScInferenceService:
         # options; bucketing by evaluation plan keeps each sub-batch on
         # one schedule (micro-batching stays transparent per bucket).
         # Requests cancelled while queued are dropped here, before any
-        # compute is spent on them (their slot was already released).
+        # compute is spent on them (their slot was already released);
+        # the rest are claimed, so cancel() can no longer race the answer.
         buckets: dict[tuple, list[_PendingRequest]] = {}
         for request in group:
-            if request.future.cancelled():
+            if not _claim(request.future):
                 continue
             buckets.setdefault(request.resolved.cache_token, []).append(request)
         for bucket in buckets.values():
@@ -763,13 +777,14 @@ class ScInferenceService:
     ) -> None:
         """Resolve a bucket's futures with ``error`` (never raises)."""
         for request in bucket:
-            try:
-                request.future.set_exception(error)
-            except InvalidStateError:
+            if request.future.done() or not _claim(request.future):
                 # Cancelled (slot already released) or already resolved.
                 continue
+            # Book-keeping first: whoever wakes on the future must see
+            # the slot released and the failure counted.
             self._release(request)
             self.metrics.record_failure()
+            request.future.set_exception(error)
             if request.trace is not None:
                 self.tracer.finish(request.trace)
                 if self.events is not None:
@@ -1110,12 +1125,10 @@ class ScInferenceService:
             degraded=degraded,
             trace=summary,
         )
-        try:
-            request.future.set_result(response)
-        except InvalidStateError:
-            # Cancelled between dispatch and completion: the result is
-            # dropped and the admission slot was released by cancel().
-            return
+        # The future is claimed (or, for cache-only answers, not yet
+        # handed out), so it cannot be cancelled any more.  Book-keeping
+        # happens before it resolves: whoever wakes on the future sees
+        # the slot released and the request counted.
         self._release(request)
         self.metrics.record_request(
             latency,
@@ -1128,6 +1141,7 @@ class ScInferenceService:
         )
         if degraded:
             self.metrics.record_degraded()
+        request.future.set_result(response)
 
     def _summarise_trace(
         self,
